@@ -29,8 +29,8 @@ pub const ARTIFACT_VERSION: u8 = 1;
 /// Filename extension of stored artifacts.
 pub const ARTIFACT_EXT: &str = "vsart";
 
-/// 128-bit FNV-1a (collision odds are negligible at fleet scale; shared
-/// by the engine's cache keys and the artifact checksums).
+/// 128-bit FNV-1a over the artifact payload: the frame checksum
+/// (collision odds are negligible at fleet scale).
 pub(crate) fn fnv1a_128(bytes: &[u8]) -> u128 {
     const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
     const PRIME: u128 = 0x0000000001000000000000000000013b;

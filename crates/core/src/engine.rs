@@ -10,11 +10,17 @@
 //! translation step that is computed once per distinct input and then
 //! shared — and, since the multi-tenant rework, served concurrently:
 //!
-//! * **Content-addressed**: the cache key is a fingerprint of the kernel
-//!   *source text* (via the round-trip-stable pretty printer) plus the
-//!   [`Flow`], target fingerprint, and [`CompileConfig`] — two
-//!   structurally identical kernels hit the same entry no matter how
-//!   they were built.
+//! * **Content-addressed**: the cache key is a structural fingerprint
+//!   of the kernel (its `Hash` stream through a seedless 128-bit
+//!   hasher) plus the [`Flow`], a fingerprint of the full target, and
+//!   the [`CompileConfig`]. The kernel fingerprint covers its exact IR,
+//!   declaration order (and so variable numbering) included: reformatted
+//!   source parses to the same IR and hits, but two kernels that print
+//!   alike while numbering their variables differently (a builder-made
+//!   kernel that declares a local after a loop variable, versus the
+//!   reparse of its print, which hoists locals) are separate entries.
+//!   A request computes its key once and carries it through every cache
+//!   tier it touches.
 //! * **Sharded**: the compile cache is split N ways by key hash
 //!   ([`EngineBuilder::shards`]); concurrent compiles and cache hits on
 //!   different shards never touch the same lock. Contended lock
@@ -47,36 +53,46 @@ use std::time::Instant;
 use vapor_ir::Kernel;
 use vapor_targets::{DecodedProgram, TargetDesc, ThreadedProgram};
 
-use crate::artifact::{fnv1a_128, ArtifactStore};
+use crate::artifact::ArtifactStore;
 use crate::pipeline::{self, CompileConfig, Compiled, Flow, PipelineError};
+use crate::stable_hash::fingerprint;
 
 /// Cache key: kernel content fingerprint + everything else that affects
 /// the generated code.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct CacheKey {
-    /// 128-bit FNV-1a over the pretty-printed kernel (round-trip-stable,
-    /// so this is a fingerprint of the kernel's *content*).
+    /// Stable 128-bit hash of the kernel's exact IR (names,
+    /// declarations in declaration order, body with variables by
+    /// number; float literals by bit pattern). Source formatting does
+    /// not reach the IR, so it does not reach the key; declaration
+    /// order does.
     kernel_fp: u128,
     flow: Flow,
-    /// 128-bit FNV-1a over the target's full `Debug` form — `TargetDesc`
-    /// is a plain pub-field struct, so keying on the name alone would let
-    /// a caller-customized target (same name, different cost table or
-    /// feature flags) silently share entries with the stock one.
+    /// Stable 128-bit hash of every `TargetDesc` field, cost and port
+    /// tables included. `TargetDesc` is a plain pub-field struct, so
+    /// keying on the name alone would let a caller-customized target
+    /// (same name, different cost table or feature flags) silently
+    /// share entries with the stock one.
     target_fp: u128,
     cfg: CompileConfig,
 }
 
 impl CacheKey {
+    fn new(kernel: &Kernel, flow: Flow, target: &TargetDesc, cfg: &CompileConfig) -> CacheKey {
+        #[cfg(test)]
+        tests::KEYS_BUILT.with(|n| n.set(n.get() + 1));
+        CacheKey {
+            kernel_fp: fingerprint(kernel),
+            flow,
+            target_fp: fingerprint(target),
+            cfg: cfg.clone(),
+        }
+    }
+
     /// The stable 128-bit identity of this key for the on-disk artifact
     /// store (filenames must not depend on in-process hasher state).
     fn artifact_id(&self) -> u128 {
-        fnv1a_128(
-            format!(
-                "{:032x}|{:?}|{:032x}|{:?}",
-                self.kernel_fp, self.flow, self.target_fp, self.cfg
-            )
-            .as_bytes(),
-        )
+        fingerprint(self)
     }
 
     /// Which of `n` shards this key lives in.
@@ -87,14 +103,35 @@ impl CacheKey {
     }
 }
 
-/// Fingerprint a kernel's content.
-fn fingerprint(kernel: &Kernel) -> u128 {
-    fnv1a_128(vapor_ir::print_kernel(kernel).as_bytes())
+/// One request's compile tuple, held as its cache key plus the two
+/// borrowed inputs the key only fingerprints (the flow and config live
+/// in the key itself). The key is computed once, when the tuple is
+/// formed, and every cache tier the request touches (compile, VL
+/// specialization, threading, unfused decode) reuses it.
+pub(crate) struct Keyed<'a> {
+    kernel: &'a Kernel,
+    target: &'a TargetDesc,
+    key: CacheKey,
 }
 
-/// Fingerprint a target's full content (ISA facts, cost model, ports).
-fn target_fingerprint(target: &TargetDesc) -> u128 {
-    fnv1a_128(format!("{target:?}").as_bytes())
+impl<'a> Keyed<'a> {
+    pub(crate) fn new(
+        kernel: &'a Kernel,
+        flow: Flow,
+        target: &'a TargetDesc,
+        cfg: &'a CompileConfig,
+    ) -> Keyed<'a> {
+        Keyed {
+            kernel,
+            target,
+            key: CacheKey::new(kernel, flow, target, cfg),
+        }
+    }
+
+    /// The execution-tier key: the compile key plus the runtime VL.
+    fn at_vl(&self, vl_bits: usize) -> (CacheKey, u32) {
+        (self.key.clone(), vl_bits as u32)
+    }
 }
 
 /// One compilation request for [`Engine::compile_batch`].
@@ -475,21 +512,6 @@ impl Engine {
         }
     }
 
-    pub(crate) fn key(
-        &self,
-        kernel: &Kernel,
-        flow: Flow,
-        target: &TargetDesc,
-        cfg: &CompileConfig,
-    ) -> CacheKey {
-        CacheKey {
-            kernel_fp: fingerprint(kernel),
-            flow,
-            target_fp: target_fingerprint(target),
-            cfg: cfg.clone(),
-        }
-    }
-
     /// Compile through the cache: on a hit, returns the *same*
     /// `Arc<Compiled>` as every previous call with an identical
     /// (kernel content, flow, target, config) tuple.
@@ -510,19 +532,24 @@ impl Engine {
         target: &TargetDesc,
         cfg: &CompileConfig,
     ) -> Result<Arc<Compiled>, PipelineError> {
-        let key = self.key(kernel, flow, target, cfg);
+        self.compile_keyed(&Keyed::new(kernel, flow, target, cfg))
+    }
+
+    /// [`Engine::compile`] of a tuple whose key is already computed.
+    pub(crate) fn compile_keyed(&self, job: &Keyed<'_>) -> Result<Arc<Compiled>, PipelineError> {
+        let key = &job.key;
         let shard = &self.shards[key.shard(self.shards.len())];
         // Fast path + in-flight claim: either the key is cached, or we
         // become its compiler, or we wait for whoever already is (a
         // failed compile wakes waiters without filling the cache; the
         // first waiter then claims the key and retries).
         loop {
-            if let Some(hit) = self.lock_shard(shard).get(&key) {
+            if let Some(hit) = self.lock_shard(shard).get(key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(hit);
             }
             let mut inflight = shard.inflight.lock().expect("inflight set poisoned");
-            if !inflight.contains(&key) {
+            if !inflight.contains(key) {
                 inflight.insert(key.clone());
                 break;
             }
@@ -538,26 +565,33 @@ impl Engine {
 
         self.misses.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
-        let compiled = Arc::new(self.compile_miss(kernel, flow, target, cfg, &key)?);
+        let compiled = Arc::new(self.compile_miss(job)?);
         self.compile_ns
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        Ok(self.lock_shard(shard).insert(key, compiled))
+        Ok(self.lock_shard(shard).insert(key.clone(), compiled))
+    }
+
+    /// [`Engine::compile_keyed`], then the check that the target can
+    /// run at `vl_bits` (the compile error wins when both fail).
+    pub(crate) fn compile_at_vl(
+        &self,
+        job: &Keyed<'_>,
+        vl_bits: usize,
+    ) -> Result<Arc<Compiled>, PipelineError> {
+        let compiled = self.compile_keyed(job)?;
+        check_vl(job.target, vl_bits)?;
+        Ok(compiled)
     }
 
     /// The miss path: artifact tier first (when attached), full
     /// pipeline otherwise, with write-back of fresh offline artifacts.
-    fn compile_miss(
-        &self,
-        kernel: &Kernel,
-        flow: Flow,
-        target: &TargetDesc,
-        cfg: &CompileConfig,
-        key: &CacheKey,
-    ) -> Result<Compiled, PipelineError> {
+    fn compile_miss(&self, job: &Keyed<'_>) -> Result<Compiled, PipelineError> {
+        let (kernel, target) = (job.kernel, job.target);
+        let (flow, cfg) = (job.key.flow, &job.key.cfg);
         let Some(store) = &self.artifacts else {
             return pipeline::compile(kernel, flow, target, cfg);
         };
-        let id = key.artifact_id();
+        let id = job.key.artifact_id();
         match store.load(id) {
             Ok(Some(bytes)) => {
                 match pipeline::online_compile(&kernel.name, &bytes, flow, target) {
@@ -686,24 +720,21 @@ impl Engine {
         cfg: &CompileConfig,
         vl_bits: usize,
     ) -> Result<(Arc<Compiled>, Arc<DecodedProgram>), PipelineError> {
-        let compiled = self.compile(kernel, flow, target, cfg)?;
-        if !target.vla {
-            if target.vs * 8 == vl_bits {
-                let decoded = Arc::clone(&compiled.jit.decoded);
-                return Ok((compiled, decoded));
-            }
-            return Err(PipelineError(format!(
-                "target {} is fixed at {} bits; cannot specialize to VL={vl_bits}",
-                target.name,
-                target.vs * 8
-            )));
+        self.specialize_keyed(&Keyed::new(kernel, flow, target, cfg), vl_bits)
+    }
+
+    /// [`Engine::specialize`] of a tuple whose key is already computed.
+    pub(crate) fn specialize_keyed(
+        &self,
+        job: &Keyed<'_>,
+        vl_bits: usize,
+    ) -> Result<(Arc<Compiled>, Arc<DecodedProgram>), PipelineError> {
+        let compiled = self.compile_at_vl(job, vl_bits)?;
+        if !job.target.vla {
+            let decoded = Arc::clone(&compiled.jit.decoded);
+            return Ok((compiled, decoded));
         }
-        if !vapor_targets::valid_vl(vl_bits) {
-            return Err(PipelineError(format!(
-                "illegal runtime VL of {vl_bits} bits (must be a multiple of 128 in 128..=2048)"
-            )));
-        }
-        let key = (self.key(kernel, flow, target, cfg), vl_bits as u32);
+        let key = job.at_vl(vl_bits);
         if let Some(hit) = self
             .vl_cache
             .lock()
@@ -712,7 +743,7 @@ impl Engine {
         {
             return Ok((compiled, hit));
         }
-        let exec = target.at_vl(vl_bits);
+        let exec = job.target.at_vl(vl_bits);
         let prog = Arc::new(
             compiled
                 .jit
@@ -741,9 +772,19 @@ impl Engine {
         cfg: &CompileConfig,
         vl_bits: usize,
     ) -> Result<(Arc<Compiled>, Arc<DecodedProgram>), PipelineError> {
-        // Validate the (target, VL) pair exactly like specialize does.
-        let (compiled, _) = self.specialize(kernel, flow, target, cfg, vl_bits)?;
-        let key = (self.key(kernel, flow, target, cfg), vl_bits as u32);
+        self.decode_unfused_keyed(&Keyed::new(kernel, flow, target, cfg), vl_bits)
+    }
+
+    /// [`Engine::decode_unfused`] of a tuple whose key is already
+    /// computed. It validates the VL without building a fused
+    /// specialization, so the VL LRU is left alone.
+    pub(crate) fn decode_unfused_keyed(
+        &self,
+        job: &Keyed<'_>,
+        vl_bits: usize,
+    ) -> Result<(Arc<Compiled>, Arc<DecodedProgram>), PipelineError> {
+        let compiled = self.compile_at_vl(job, vl_bits)?;
+        let key = job.at_vl(vl_bits);
         if let Some(hit) = self
             .unfused_cache
             .lock()
@@ -752,7 +793,7 @@ impl Engine {
         {
             return Ok((compiled, hit));
         }
-        let exec = exec_target(target, vl_bits);
+        let exec = exec_target(job.target, vl_bits);
         let prog = Arc::new(
             DecodedProgram::decode_unfused(&compiled.jit.code, &exec)
                 .map_err(|e| PipelineError(format!("unfused decode: {e}")))?,
@@ -788,8 +829,17 @@ impl Engine {
         cfg: &CompileConfig,
         vl_bits: usize,
     ) -> Result<(Arc<Compiled>, Arc<ThreadedProgram>), PipelineError> {
-        let (compiled, decoded) = self.specialize(kernel, flow, target, cfg, vl_bits)?;
-        let key = (self.key(kernel, flow, target, cfg), vl_bits as u32);
+        self.thread_keyed(&Keyed::new(kernel, flow, target, cfg), vl_bits)
+    }
+
+    /// [`Engine::thread`] of a tuple whose key is already computed.
+    pub(crate) fn thread_keyed(
+        &self,
+        job: &Keyed<'_>,
+        vl_bits: usize,
+    ) -> Result<(Arc<Compiled>, Arc<ThreadedProgram>), PipelineError> {
+        let (compiled, decoded) = self.specialize_keyed(job, vl_bits)?;
+        let key = job.at_vl(vl_bits);
         if let Some(hit) = self
             .threaded_cache
             .lock()
@@ -915,6 +965,27 @@ impl Engine {
     }
 }
 
+/// Check that `target` can execute at `vl_bits`: a fixed-width target
+/// only at its own width, a VLA family at any legal runtime VL.
+fn check_vl(target: &TargetDesc, vl_bits: usize) -> Result<(), PipelineError> {
+    if !target.vla {
+        if target.vs * 8 == vl_bits {
+            return Ok(());
+        }
+        return Err(PipelineError(format!(
+            "target {} is fixed at {} bits; cannot specialize to VL={vl_bits}",
+            target.name,
+            target.vs * 8
+        )));
+    }
+    if !vapor_targets::valid_vl(vl_bits) {
+        return Err(PipelineError(format!(
+            "illegal runtime VL of {vl_bits} bits (must be a multiple of 128 in 128..=2048)"
+        )));
+    }
+    Ok(())
+}
+
 /// The concrete-width execution target of a (family, VL) pair: the
 /// family itself when fixed-width, `family.at_vl(vl)` when VLA.
 pub(crate) fn exec_target(target: &TargetDesc, vl_bits: usize) -> TargetDesc {
@@ -926,10 +997,16 @@ pub(crate) fn exec_target(target: &TargetDesc, vl_bits: usize) -> TargetDesc {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use vapor_frontend::parse_kernel;
     use vapor_targets::{altivec, sse};
+
+    thread_local! {
+        /// Cache keys built on this thread; each one computes both
+        /// fingerprints.
+        pub(crate) static KEYS_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
 
     fn saxpy() -> Kernel {
         parse_kernel(
@@ -968,6 +1045,130 @@ mod tests {
         .unwrap();
         let b = e.compile(&k2, Flow::SplitVectorOpt, &t, &cfg).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn declaration_order_is_part_of_the_key() {
+        // Built with the local declared after the loop variable; the
+        // printer hoists locals, so the reparse numbers them the other
+        // way round. Both print alike, yet they are distinct IR and
+        // distinct entries. The reparse is a fixed point and hits.
+        use vapor_ir::{print_kernel, BinOp, Expr, KernelBuilder, ScalarTy};
+        let mut b = KernelBuilder::new("scale");
+        let n = b.scalar_param("n", ScalarTy::I64);
+        let a = b.scalar_param("a", ScalarTy::F32);
+        let x = b.array_param("x", ScalarTy::F32);
+        let i = b.fresh_loop_var("i");
+        let t = b.local("t", ScalarTy::F32);
+        b.for_loop(i, Expr::Int(0), Expr::Var(n), 1, |b| {
+            b.assign(
+                t,
+                Expr::bin(BinOp::Mul, Expr::Var(a), Expr::load(x, Expr::Var(i))),
+            );
+            b.store(x, Expr::Var(i), Expr::Var(t));
+        });
+        let built = b.finish();
+        let reparsed = parse_kernel(&print_kernel(&built)).unwrap();
+        assert_eq!(print_kernel(&reparsed), print_kernel(&built));
+        assert_ne!(reparsed, built, "the reparse renumbers the variables");
+
+        let e = Engine::new();
+        let t = sse();
+        let cfg = CompileConfig::default();
+        let first = e.compile(&built, Flow::SplitVectorOpt, &t, &cfg).unwrap();
+        let second = e
+            .compile(&reparsed, Flow::SplitVectorOpt, &t, &cfg)
+            .unwrap();
+        assert!(!Arc::ptr_eq(&first, &second));
+        let again = parse_kernel(&print_kernel(&reparsed)).unwrap();
+        let third = e.compile(&again, Flow::SplitVectorOpt, &t, &cfg).unwrap();
+        assert!(Arc::ptr_eq(&second, &third));
+        assert_eq!((e.stats().hits, e.stats().misses), (1, 2));
+    }
+
+    #[test]
+    fn fingerprints_match_their_golden_values() {
+        // Artifact filenames derive from these: a per-process seed or an
+        // accidental change to the hash stream would show up here. The
+        // stream comes from std's and derive's `Hash` impls, which Rust
+        // does not promise to keep across toolchain versions. A failure
+        // here after a toolchain bump (or an IR/target field change)
+        // means every stored `.vsart` artifact gets a new filename and
+        // becomes a cold miss: treat it as an artifact-format change and
+        // say so where the constants are updated.
+        assert_eq!(
+            fingerprint(&saxpy()),
+            0xbd1a_c149_96bb_9452_c4de_50f1_527f_6c65
+        );
+        assert_eq!(
+            fingerprint(&sse()),
+            0xedfc_e0c3_9ff7_c999_cd86_4e4e_f4d2_d57c
+        );
+    }
+
+    #[test]
+    fn customized_target_with_the_stock_name_misses() {
+        let e = Engine::new();
+        let k = saxpy();
+        let cfg = CompileConfig::default();
+        let stock = e.compile(&k, Flow::SplitVectorOpt, &sse(), &cfg).unwrap();
+        let mut custom = sse();
+        custom.cost.vload_unaligned += 1;
+        assert_eq!(custom.name, sse().name);
+        let other = e.compile(&k, Flow::SplitVectorOpt, &custom, &cfg).unwrap();
+        assert!(
+            !Arc::ptr_eq(&stock, &other),
+            "a changed cost table must not share the stock target's entry"
+        );
+        assert_eq!((e.stats().hits, e.stats().misses), (0, 2));
+    }
+
+    #[test]
+    fn kernels_differing_in_one_float_literal_miss() {
+        let src = |c: &str| {
+            parse_kernel(&format!(
+                "kernel axpb(long n, float x[], float y[]) {{
+                   for (long i = 0; i < n; i++) {{ y[i] = 2.0 * x[i] + {c}; }}
+                 }}"
+            ))
+            .unwrap()
+        };
+        let e = Engine::new();
+        let t = sse();
+        let cfg = CompileConfig::default();
+        let a = e
+            .compile(&src("0.5"), Flow::SplitVectorOpt, &t, &cfg)
+            .unwrap();
+        let b = e
+            .compile(&src("0.25"), Flow::SplitVectorOpt, &t, &cfg)
+            .unwrap();
+        assert!(
+            !Arc::ptr_eq(&a, &b),
+            "one literal apart must not share an entry"
+        );
+        let a2 = e
+            .compile(&src("0.5"), Flow::SplitVectorOpt, &t, &cfg)
+            .unwrap();
+        assert!(Arc::ptr_eq(&a, &a2));
+    }
+
+    #[test]
+    fn unfused_decode_leaves_the_vl_cache_alone() {
+        let e = Engine::new();
+        let k = saxpy();
+        let sve = vapor_targets::sve();
+        let cfg = CompileConfig::default();
+        let (_, p) = e
+            .decode_unfused(&k, Flow::SplitVectorOpt, &sve, &cfg, 512)
+            .unwrap();
+        assert_eq!(p.vs, 64);
+        let s = e.stats();
+        assert_eq!(s.vl_entries, 0, "no fused specialization may be built");
+        assert_eq!((s.hits, s.misses), (0, 1), "one compile-cache lookup");
+        let err = e
+            .decode_unfused(&k, Flow::SplitVectorOpt, &sve, &cfg, 192)
+            .unwrap_err();
+        assert!(err.0.contains("illegal runtime VL"), "{err}");
     }
 
     #[test]

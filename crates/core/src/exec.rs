@@ -31,7 +31,7 @@ use std::sync::Arc;
 use vapor_ir::{Bindings, Kernel};
 use vapor_targets::{ExecStats, TargetDesc, Trap};
 
-use crate::engine::{exec_target, Engine};
+use crate::engine::{exec_target, Engine, Keyed};
 use crate::pipeline::{CompileConfig, Compiled, Flow, PipelineError};
 use crate::run::{read_back, setup_machine_with, AllocPolicy, RunResult};
 
@@ -216,28 +216,28 @@ impl Engine {
         // the 0-bit scalar-only one) take their baked width; the VLA
         // families take their 128-bit minimum.
         let vl = req.vl_bits.unwrap_or(req.target.vs * 8);
+        // One key per request, shared by every cache tier below.
+        let job = Keyed::new(req.kernel, req.flow, req.target, &req.cfg);
         match req.tier {
             Tier::Baseline => {
                 // Validate the (target, VL) pair exactly like the other
                 // tiers, then dispatch the raw machine code.
-                let (compiled, _) =
-                    self.specialize(req.kernel, req.flow, req.target, &req.cfg, vl)?;
+                let compiled = self.compile_at_vl(&job, vl)?;
                 let exec_t = exec_target(req.target, vl);
                 let code = Arc::clone(&compiled);
                 self.run_request(req, &exec_t, compiled, move |m| m.run(&code.jit.code))
             }
             Tier::Decoded => {
                 let (compiled, prog) = if req.fused {
-                    self.specialize(req.kernel, req.flow, req.target, &req.cfg, vl)?
+                    self.specialize_keyed(&job, vl)?
                 } else {
-                    self.decode_unfused(req.kernel, req.flow, req.target, &req.cfg, vl)?
+                    self.decode_unfused_keyed(&job, vl)?
                 };
                 let exec_t = exec_target(req.target, vl);
                 self.run_request(req, &exec_t, compiled, move |m| m.run_decoded(&prog))
             }
             Tier::Threaded => {
-                let (compiled, prog) =
-                    self.thread(req.kernel, req.flow, req.target, &req.cfg, vl)?;
+                let (compiled, prog) = self.thread_keyed(&job, vl)?;
                 let exec_t = exec_target(req.target, vl);
                 self.run_request(req, &exec_t, compiled, move |m| m.run_threaded(&prog))
             }
@@ -352,6 +352,56 @@ mod tests {
         // One compile served every tier.
         assert_eq!(e.stats().misses, 1);
         assert!(Arc::ptr_eq(&decoded.compiled, &threaded.compiled));
+    }
+
+    #[test]
+    fn every_execute_path_keys_the_request_once() {
+        use crate::engine::tests::KEYS_BUILT;
+        let e = Engine::new();
+        let k = saxpy();
+        let env = saxpy_env(40);
+        let (fixed, sve) = (sse(), vapor_targets::sve());
+        for (t, vl) in [(&fixed, 128), (&sve, 512)] {
+            for (tier, fused) in [
+                (Tier::Baseline, true),
+                (Tier::Decoded, true),
+                (Tier::Decoded, false),
+                (Tier::Threaded, true),
+            ] {
+                let req = ExecRequest::new(&k, t, &env)
+                    .tier(tier)
+                    .fused(fused)
+                    .vl_bits(vl);
+                // The first request builds this form, the second hits it.
+                for pass in ["miss", "hit"] {
+                    let before = KEYS_BUILT.with(|n| n.get());
+                    e.execute(&req).unwrap();
+                    let built = KEYS_BUILT.with(|n| n.get()) - before;
+                    assert_eq!(built, 1, "{} {tier:?} fused={fused} {pass}", t.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unfused_requests_build_no_fused_specialization() {
+        let e = Engine::new();
+        let k = saxpy();
+        let t = vapor_targets::sve();
+        let env = saxpy_env(40);
+        for vl in [256, 768] {
+            e.execute(&ExecRequest::new(&k, &t, &env).vl_bits(vl).fused(false))
+                .unwrap();
+        }
+        assert_eq!(e.stats().vl_entries, 0);
+        // A baseline request only validates its VL, too.
+        e.execute(
+            &ExecRequest::new(&k, &t, &env)
+                .vl_bits(1024)
+                .tier(Tier::Baseline),
+        )
+        .unwrap();
+        assert_eq!(e.stats().vl_entries, 0);
     }
 
     #[test]

@@ -47,6 +47,7 @@ pub mod engine;
 pub mod exec;
 pub mod pipeline;
 pub mod run;
+mod stable_hash;
 
 pub use artifact::{ArtifactError, ArtifactStore};
 pub use engine::{

@@ -1,5 +1,7 @@
 //! Expressions of the scalar kernel IR.
 
+use std::hash::{Hash, Hasher};
+
 use crate::sem::{BinOp, UnOp};
 use crate::ty::ScalarTy;
 
@@ -36,6 +38,37 @@ pub enum Expr {
     Un { op: UnOp, arg: Box<Expr> },
     /// Explicit conversion to `ty`.
     Cast { ty: ScalarTy, arg: Box<Expr> },
+}
+
+/// Hashes the structure, with `Float` literals by their bit pattern:
+/// two kernels that differ only in one literal hash apart, and so do
+/// `0.0` and `-0.0` (which compare equal but generate different code).
+impl Hash for Expr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Expr::Int(v) => v.hash(state),
+            Expr::Float(v) => v.to_bits().hash(state),
+            Expr::Var(v) => v.hash(state),
+            Expr::Load { array, index } => {
+                array.hash(state);
+                index.hash(state);
+            }
+            Expr::Bin { op, lhs, rhs } => {
+                op.hash(state);
+                lhs.hash(state);
+                rhs.hash(state);
+            }
+            Expr::Un { op, arg } => {
+                op.hash(state);
+                arg.hash(state);
+            }
+            Expr::Cast { ty, arg } => {
+                ty.hash(state);
+                arg.hash(state);
+            }
+        }
+    }
 }
 
 impl Expr {

@@ -16,7 +16,7 @@ use vapor_ir::{BinOp, ScalarTy, UnOp};
 use crate::isa::{HelperOp, MInst, ShiftSrc};
 
 /// Per-instruction-class cycle weights for one target.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct CostModel {
     /// Scalar integer ALU op.
     pub salu: u32,

@@ -10,7 +10,7 @@
 use crate::isa::{Label, MCode, MInst};
 
 /// Issue-port counts of a target's execution core.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 pub struct PortModel {
     /// Vector ALU/multiply ports.
     pub vec_ports: u32,

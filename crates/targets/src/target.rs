@@ -63,7 +63,11 @@ pub fn valid_vl(vl_bits: usize) -> bool {
 /// VF, alignment capabilities drive the realignment strategy choice of
 /// §III-C, and the feature booleans drive scalarization/library-fallback
 /// decisions (e.g. `double` on AltiVec, immature idioms on NEON).
-#[derive(Debug, Clone)]
+///
+/// `Hash` covers every field, cost and port tables included, so a
+/// caller-customized target hashes apart from the stock one it was
+/// cloned from even when it keeps the name.
+#[derive(Debug, Clone, Hash)]
 pub struct TargetDesc {
     /// Display name.
     pub name: &'static str,

@@ -159,9 +159,7 @@ pub fn classify_dep(
                 if d.abs() < SMALL_DIFF {
                     DepClass::Independent
                 } else {
-                    DepClass::Unknown(format!(
-                        "offset {d} may alias across symbolic row stride"
-                    ))
+                    DepClass::Unknown(format!("offset {d} may alias across symbolic row stride"))
                 }
             }
         },
@@ -489,8 +487,14 @@ mod tests {
         let (kern, _n, _k, i, _j) = lu_like();
         let store = aff(&kern, &Expr::Var(i));
         let load = aff(&kern, &Expr::bin(BinOp::Sub, Expr::Var(i), Expr::Int(1)));
-        assert_eq!(classify_dep(i, &store, &load, None, None), DepClass::Carried(1));
-        assert_eq!(classify_dep(i, &load, &store, None, None), DepClass::Carried(-1));
+        assert_eq!(
+            classify_dep(i, &store, &load, None, None),
+            DepClass::Carried(1)
+        );
+        assert_eq!(
+            classify_dep(i, &load, &store, None, None),
+            DepClass::Carried(-1)
+        );
         assert_eq!(
             classify_dep(i, &store, &store, None, None),
             DepClass::SameIteration

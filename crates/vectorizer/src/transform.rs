@@ -293,10 +293,7 @@ impl<'k> Vx<'k> {
                                 description: desc,
                                 vectorized: false,
                                 features: Vec::new(),
-                                reason: Some(Rejection::new(
-                                    RejectCategory::EmitFailure,
-                                    reason,
-                                )),
+                                reason: Some(Rejection::new(RejectCategory::EmitFailure, reason)),
                                 parts: Vec::new(),
                             });
                             self.emit_plain_loop(f, out, *var, lo, hi, *step, body);
@@ -307,8 +304,17 @@ impl<'k> Vx<'k> {
                 Err(reason) => {
                     // Allen–Kennedy: before giving up on the whole loop,
                     // try to distribute it per dependence SCC.
-                    match self.try_distribute(f, out, *var, lo, hi, *step, body, before_regs, report_mark)
-                    {
+                    match self.try_distribute(
+                        f,
+                        out,
+                        *var,
+                        lo,
+                        hi,
+                        *step,
+                        body,
+                        before_regs,
+                        report_mark,
+                    ) {
                         DistOutcome::Emitted(vectorized) => return vectorized,
                         DistOutcome::ReportedOnly => {
                             // SCC structure recorded; the speculative
@@ -316,10 +322,7 @@ impl<'k> Vx<'k> {
                         }
                         DistOutcome::NotApplicable => {
                             self.reports.push(LoopReport {
-                                description: format!(
-                                    "loop over {}",
-                                    self.kernel.var(*var).name
-                                ),
+                                description: format!("loop over {}", self.kernel.var(*var).name),
                                 vectorized: false,
                                 features: Vec::new(),
                                 reason: Some(reason),

@@ -58,9 +58,9 @@ fn check_everywhere(kernel: &Kernel, env: &Bindings, what: &str) {
                 .execute(&ExecRequest::new(kernel, &target, env).flow(flow))
                 .unwrap_or_else(|e| panic!("{what} [{flow} on {}]: {e}", target.name));
             for (name, expected) in oracle.arrays() {
-                arrays_match(expected, result.out.array(name).unwrap(), 2e-4).unwrap_or_else(
-                    |e| panic!("{what} [{flow} on {}]: array {name}: {e}", target.name),
-                );
+                arrays_match(expected, result.out.array(name).unwrap(), 2e-4).unwrap_or_else(|e| {
+                    panic!("{what} [{flow} on {}]: array {name}: {e}", target.name)
+                });
             }
         }
     }
@@ -74,9 +74,9 @@ fn check_everywhere(kernel: &Kernel, env: &Bindings, what: &str) {
                 )
                 .unwrap_or_else(|e| panic!("{what} [{} @VL={vl}]: {e}", family.name));
             for (name, expected) in oracle.arrays() {
-                arrays_match(expected, result.out.array(name).unwrap(), 2e-4).unwrap_or_else(
-                    |e| panic!("{what} [{} @VL={vl}]: array {name}: {e}", family.name),
-                );
+                arrays_match(expected, result.out.array(name).unwrap(), 2e-4).unwrap_or_else(|e| {
+                    panic!("{what} [{} @VL={vl}]: array {name}: {e}", family.name)
+                });
             }
         }
     }

@@ -95,5 +95,8 @@ fn distribution_plans_match_goldens() {
     )
     .unwrap();
     let result = vectorize(&residual, &VectorizeOptions::default());
-    check_golden("plan_dist_residual", &render("dist_residual", &result.reports));
+    check_golden(
+        "plan_dist_residual",
+        &render("dist_residual", &result.reports),
+    );
 }

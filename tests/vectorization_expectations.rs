@@ -106,14 +106,13 @@ fn no_distribution_ablation_keeps_refinements() {
     let spec = vapor_kernels::find("seidel_fp").unwrap();
     let result = vectorize(&spec.kernel(), &opts);
     assert!(result.reports.iter().all(|r| !r.vectorized));
-    let inner = result
-        .reports
-        .iter()
-        .find(|r| r.reason.is_some())
-        .unwrap();
+    let inner = result.reports.iter().find(|r| r.reason.is_some()).unwrap();
     assert_eq!(
         inner.reason.as_ref().unwrap().category,
         RejectCategory::Dependence
     );
-    assert!(inner.parts.is_empty(), "no SCC info when distribution is off");
+    assert!(
+        inner.parts.is_empty(),
+        "no SCC info when distribution is off"
+    );
 }
